@@ -2,25 +2,21 @@
 
 Not a paper figure: these time the primitives every experiment is built
 on (h-ASPL evaluation, one annealing proposal through the incremental
-and full evaluators, routing-table construction, one fluid alltoall,
-graph bisection) so performance regressions in the substrate are caught
+evaluator, routing-table construction, one fluid alltoall, graph
+bisection) so performance regressions in the substrate are caught
 by the benchmark suite itself.
 
 Besides the pytest-benchmark cases, the module is runnable directly to
 track the perf trajectory in ``BENCH_pr2.json`` at the repo root::
 
     python benchmarks/bench_core_kernels.py --quick --check BENCH_pr2.json
-    python benchmarks/bench_core_kernels.py --full --out BENCH_pr2.json
 
 ``--quick`` times the gated kernels with ``time.perf_counter`` (seconds,
 best of several repeats) and ``--check`` fails (exit 1) when a gated
-kernel regresses more than 1.5x against the committed baseline.  ``--full``
-additionally measures the end-to-end ``solve 1024 15`` speedup of the
-incremental evaluator over the full-APSP evaluator (default schedule).
-``--kernels`` instead sweeps the pluggable BFS backends
-(:mod:`repro.core.kernels`) — per-backend ``bench_h_aspl_{1024,4096}``
-plus the n=4096 annealing step both ways — for the ``BENCH_pr7.json``
-baseline::
+kernel regresses more than 1.5x against the committed baseline.
+``--kernels`` instead times the BFS kernel (:mod:`repro.core.kernels`)
+— ``bench_h_aspl_{1024,4096}_bitset`` plus the n=4096 annealing step —
+for the ``BENCH_pr7.json`` baseline::
 
     python benchmarks/bench_core_kernels.py --kernels --check BENCH_pr7.json
     python benchmarks/bench_core_kernels.py --kernels --out BENCH_pr7.json
@@ -34,9 +30,7 @@ configuration).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
 import time
 
@@ -47,11 +41,10 @@ try:
 except ImportError:  # standalone: `python benchmarks/bench_core_kernels.py`
     from _common import BENCH_SCHEMA, bench_meta
 
-from repro.core.annealing import AnnealingSchedule, anneal
+from repro.core.annealing import AnnealingSchedule
 from repro.core.construct import random_host_switch_graph
 from repro.core.hostswitch import HostSwitchGraph
 from repro.core.incremental import IncrementalEvaluator
-from repro.core.kernels import BACKEND_ENV, available_backends
 from repro.core.metrics import h_aspl, h_aspl_and_diameter
 from repro.core.operations import SwapMove
 from repro.core.solver import solve_orp
@@ -62,7 +55,7 @@ from repro.simulation.mpi import run_mpi_program
 
 # Kernels gated by CI against the committed BENCH_pr2.json baseline.
 GATED = ("bench_h_aspl_1024", "bench_anneal_step_1024_incremental")
-# Kernel-backend sweep entries gated against BENCH_pr7.json (--kernels).
+# Kernel entries gated against BENCH_pr7.json (--kernels).
 # Only the millisecond-scale kernels are gated: the sub-millisecond
 # n=1024 entries are bimodal across process invocations (allocator /
 # CPU-state luck) by more than the tolerance and stay informational.
@@ -125,21 +118,6 @@ def bench_anneal_step_1024_incremental(graph_1024, benchmark):
         inverse.apply(work)
         evaluator.propose(inverse)
         evaluator.commit()
-        return value
-
-    assert benchmark(step) < float("inf")
-
-
-def bench_anneal_step_1024_full(graph_1024, benchmark):
-    """The same committed proposal scored by full APSP recomputation."""
-    work = graph_1024.copy()
-    move, inverse = _swap_round_trip(_legal_swap(work))
-
-    def step():
-        move.apply(work)
-        value = h_aspl(work)
-        inverse.apply(work)
-        h_aspl(work)
         return value
 
     assert benchmark(step) < float("inf")
@@ -229,16 +207,6 @@ def _quick_suite(
         "seconds": _best_of(incremental_step) / 2.0
     }
 
-    full_work = graph.copy()
-
-    def full_step():
-        move.apply(full_work)
-        h_aspl(full_work)
-        inverse.apply(full_work)
-        h_aspl(full_work)
-
-    results["bench_anneal_step_1024_full"] = {"seconds": _best_of(full_step) / 2.0}
-
     def restarts():
         solve_orp(
             128, 8, schedule=AnnealingSchedule(num_steps=300), restarts=2,
@@ -249,47 +217,18 @@ def _quick_suite(
     return results
 
 
-@contextlib.contextmanager
-def _forced_backend(name: str):
-    """Temporarily pin ``REPRO_KERNEL_BACKEND`` (resolution is per call)."""
-    old = os.environ.get(BACKEND_ENV)
-    os.environ[BACKEND_ENV] = name
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(BACKEND_ENV, None)
-        else:
-            os.environ[BACKEND_ENV] = old
-
-
 def _kernel_suite() -> dict[str, dict[str, float]]:
-    """Per-backend h-ASPL and n=4096 annealing-step timings (seconds).
-
-    Every available backend times the full h-ASPL evaluation at both
-    scales (``bench_h_aspl_{n}_{backend}``); the annealing step at
-    n=4096 runs under the default backend resolution — exactly the
-    configuration a plain ``repro solve 4096 16`` would use.
-    """
+    """h-ASPL and n=4096 annealing-step timings of the BFS kernel (seconds)."""
     results: dict[str, dict[str, float]] = {}
     graphs: dict[int, HostSwitchGraph] = {}
     for n, m, r in KERNEL_SCALES:
         graph = random_host_switch_graph(n, m, r, seed=0)
         graphs[n] = graph
-        for backend in available_backends():
-            # The python oracle at n=4096 runs a dense-matmul APSP per
-            # call; keep its repeat count low, it is informational only.
-            # The sub-millisecond kernels need many repeats for a stable
-            # best-of under shared-runner noise.
-            if backend == "python" and n == 4096:
-                repeat = 1
-            elif n == 1024:
-                repeat = 25
-            else:
-                repeat = 7
-            with _forced_backend(backend):
-                seconds = _best_of(lambda g=graph: h_aspl(g), repeat=repeat)
-            results[f"bench_h_aspl_{n}_{backend}"] = {"seconds": seconds}
+        # The sub-millisecond n=1024 kernel needs many repeats for a
+        # stable best-of under shared-runner noise.
+        repeat = 25 if n == 1024 else 7
+        seconds = _best_of(lambda g=graph: h_aspl(g), repeat=repeat)
+        results[f"bench_h_aspl_{n}_bitset"] = {"seconds": seconds}
 
     work = graphs[4096].copy()
     evaluator = IncrementalEvaluator(work)
@@ -307,44 +246,7 @@ def _kernel_suite() -> dict[str, dict[str, float]]:
     results["bench_anneal_step_4096_incremental"] = {
         "seconds": _best_of(incremental_step, repeat=40) / 2.0
     }
-
-    full_work = graphs[4096].copy()
-
-    def full_step():
-        move.apply(full_work)
-        h_aspl(full_work)
-        inverse.apply(full_work)
-        h_aspl(full_work)
-
-    results["bench_anneal_step_4096_full"] = {
-        "seconds": _best_of(full_step, repeat=3) / 2.0
-    }
     return results
-
-
-def _anneal_seconds(start: HostSwitchGraph, evaluator: str, seed: int) -> tuple[float, float]:
-    t0 = time.perf_counter()
-    result = anneal(start, schedule=AnnealingSchedule(), seed=seed, evaluator=evaluator)
-    return time.perf_counter() - t0, result.h_aspl
-
-
-def _solve_speedup(n: int, r: int, m: int) -> dict[str, float]:
-    """End-to-end ``solve n r`` (default schedule) speedup, both evaluators.
-
-    Times the search stage of the solver pipeline on the same starting
-    graph and seed; the two runs are bit-identical, so the ratio is pure
-    evaluator cost.
-    """
-    start = random_host_switch_graph(n, m, r, seed=0)
-    incremental_s, value_inc = _anneal_seconds(start, "incremental", seed=1)
-    full_s, value_full = _anneal_seconds(start, "full", seed=1)
-    assert value_inc == value_full  # repro-lint: disable=REP004 -- bit-identity check
-    return {
-        "incremental_seconds": incremental_s,
-        "full_seconds": full_s,
-        "speedup": full_s / incremental_s,
-        "h_aspl": value_inc,
-    }
 
 
 def _check_regressions(
@@ -375,10 +277,8 @@ def main(argv: list[str] | None = None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--quick", action="store_true",
                       help="gated kernels only (CI mode)")
-    mode.add_argument("--full", action="store_true",
-                      help="quick suite + end-to-end solve-1024-15 speedup")
     mode.add_argument("--kernels", action="store_true",
-                      help="BFS-backend sweep incl. n=4096 (BENCH_pr7.json)")
+                      help="BFS kernel incl. n=4096 (BENCH_pr7.json)")
     parser.add_argument("--out", default=None, help="write results JSON here")
     parser.add_argument("--check", default=None,
                         help="baseline JSON to gate against (exit 1 on regression)")
@@ -420,10 +320,6 @@ def main(argv: list[str] | None = None) -> int:
         "meta": bench_meta(args.timestamp),
         "benchmarks": results,
     }
-    if args.full:
-        payload["solve_1024_15"] = _solve_speedup(1024, 15, m=195)
-        payload["solve_256_12"] = _solve_speedup(256, 12, m=55)
-
     print(json.dumps(payload, indent=2))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

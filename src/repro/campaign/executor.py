@@ -177,7 +177,6 @@ def _solve_point(
             failures=point["failures"],
             trials=point["trials"],
             seed=point["seed"],
-            backend=point.get("backend"),
             telemetry=telemetry,
             on_trial=lambda _trial: hook(),
         )
@@ -202,7 +201,6 @@ def _solve_point(
             construction=point["construction"],
             initial_temperature=point["initial_temperature"],
             final_temperature=point["final_temperature"],
-            backend=point.get("backend"),
             store=store,
             measure=point["measure"],
             telemetry=telemetry,
@@ -225,7 +223,6 @@ def _solve_point(
         seed=point["seed"],
         operation=point["operation"],
         construction=point["construction"],
-        backend=point.get("backend"),
         telemetry=telemetry,
         checkpointer=checkpointer,
     )

@@ -49,7 +49,6 @@ from typing import Any
 __all__ = [
     "CAMPAIGN_SPEC_FORMAT",
     "COMPOSE_POINT_FIELDS",
-    "DIGEST_NEUTRAL_FIELDS",
     "POINT_FIELDS",
     "POINT_KINDS",
     "RESILIENCE_POINT_FIELDS",
@@ -82,13 +81,11 @@ POINT_FIELDS: dict[str, tuple[type | tuple[type, ...], Any]] = {
     "construction": (str, "random"),
     "initial_temperature": ((int, float), 0.05),
     "final_temperature": ((int, float), 1e-4),
-    "backend": ((str, type(None)), None),
 }
 
-#: Point fields that steer *how* a point is computed, never *what* it
-#: computes: every kernel backend is property-tested bit-identical, so two
-#: points differing only here share one digest (and one stored result).
-DIGEST_NEUTRAL_FIELDS = ("backend",)
+#: Retired point fields that older specs and stored points may still carry.
+#: They never entered a digest, so dropping them keeps every digest intact.
+_LEGACY_FIELDS = ("backend",)
 
 _REQUIRED = ("n", "r")
 _OPERATIONS = ("swap", "swing", "two-neighbor-swing")
@@ -113,7 +110,6 @@ RESILIENCE_POINT_FIELDS: dict[str, tuple[type | tuple[type, ...], Any]] = {
     "failures": (int, 1),
     "trials": (int, 50),
     "seed": (int, 0),
-    "backend": ((str, type(None)), None),
 }
 
 _MODES = ("link", "switch")
@@ -137,18 +133,7 @@ COMPOSE_POINT_FIELDS: dict[str, tuple[type | tuple[type, ...], Any]] = {
     "initial_temperature": ((int, float), 0.05),
     "final_temperature": ((int, float), 1e-4),
     "measure": (bool, False),
-    "backend": ((str, type(None)), None),
 }
-
-_BACKENDS = ("auto", "python", "bitset", "numba")
-
-
-def _check_backend(out: dict[str, Any]) -> None:
-    if out["backend"] is not None and out["backend"] not in _BACKENDS:
-        raise SpecError(
-            f"point backend must be one of {_BACKENDS} (or omitted), "
-            f"got {out['backend']!r}"
-        )
 
 _EXECUTOR_FIELDS: dict[str, tuple[type | tuple[type, ...], Any]] = {
     "jobs": (int, 1),
@@ -216,10 +201,11 @@ def normalize_point(point: dict[str, Any]) -> dict[str, Any]:
     ``kind`` key, so pre-kind digests are unchanged; resilience points keep
     ``kind="resilience"`` plus the :data:`RESILIENCE_POINT_FIELDS` keys,
     and compose points keep ``kind="compose"`` plus the
-    :data:`COMPOSE_POINT_FIELDS` keys.  Raises :class:`SpecError` on
-    unknown keys, missing required keys, wrong types, or out-of-range
-    values.
+    :data:`COMPOSE_POINT_FIELDS` keys.  Retired fields (a kernel
+    ``backend``) are dropped.  Raises :class:`SpecError` on unknown keys,
+    missing required keys, wrong types, or out-of-range values.
     """
+    point = {key: value for key, value in point.items() if key not in _LEGACY_FIELDS}
     kind = point.get("kind", "orp")
     if kind not in POINT_KINDS:
         raise SpecError(f"point kind must be one of {POINT_KINDS}, got {kind!r}")
@@ -268,7 +254,6 @@ def normalize_point(point: dict[str, Any]) -> dict[str, Any]:
             "need 0 < final_temperature <= initial_temperature, got "
             f"{out['final_temperature']}, {out['initial_temperature']}"
         )
-    _check_backend(out)
     return out
 
 
@@ -305,7 +290,6 @@ def _normalize_resilience_point(point: dict[str, Any]) -> dict[str, Any]:
         )
     if out["mode"] not in _MODES:
         raise SpecError(f"point mode must be one of {_MODES}, got {out['mode']!r}")
-    _check_backend(out)
     return out
 
 
@@ -364,23 +348,13 @@ def _normalize_compose_point(point: dict[str, Any]) -> dict[str, Any]:
             "need 0 < final_temperature <= initial_temperature, got "
             f"{out['final_temperature']}, {out['initial_temperature']}"
         )
-    _check_backend(out)
     return out
 
 
 def point_digest(point: dict[str, Any]) -> str:
-    """Content address of a point: SHA-256 of its canonical JSON form.
-
-    :data:`DIGEST_NEUTRAL_FIELDS` are stripped first — the kernel backend
-    changes wall-clock, never results, so it must not fork the store key.
-    """
+    """Content address of a point: SHA-256 of its canonical JSON form."""
     normalized = normalize_point(point)
-    digestable = {
-        key: value
-        for key, value in normalized.items()
-        if key not in DIGEST_NEUTRAL_FIELDS
-    }
-    return hashlib.sha256(canonical_json(digestable).encode()).hexdigest()
+    return hashlib.sha256(canonical_json(normalized).encode()).hexdigest()
 
 
 def expand_grid(

@@ -67,7 +67,6 @@ import logging
 import sys
 
 from repro.analysis.report import format_table
-from repro.core.kernels import BACKEND_NAMES
 
 __all__ = ["main", "build_parser"]
 
@@ -146,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--construction", choices=["random", "regular"],
                    default="random", help="block initial construction")
-    p.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                   help="BFS kernel backend for block search and measurement")
     p.add_argument("--store", default="campaigns",
                    help="campaign store root for block memoization "
                         "(default: campaigns)")
@@ -173,9 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for the restart fan-out "
                         "(same result as serial for any value)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                   help="BFS kernel backend for the annealing repairs "
-                        "(default: REPRO_KERNEL_BACKEND, then auto)")
     p.add_argument("--out", type=str, default=None, help="save graph (HSG v1)")
 
     p = add_command("odp", help="solve an Order/Degree Problem instance")
@@ -239,10 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simultaneous failures per trial")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                   help="BFS kernel backend for the shared repaired "
-                        "distance matrix (default: REPRO_KERNEL_BACKEND, "
-                        "then auto)")
     p.add_argument("--json", action="store_true",
                    help="emit the raw sweep result as JSON instead of a table")
 
@@ -464,7 +454,7 @@ def _cmd_compose(args, telemetry) -> int:
         args.n, args.r,
         copies=args.copies, block_hosts=args.block_hosts, m=args.m,
         steps=args.steps, restarts=args.restarts, seed=args.seed,
-        construction=args.construction, backend=args.backend,
+        construction=args.construction,
         store=store, measure=args.measure, telemetry=telemetry,
     )
     if args.json:
@@ -492,7 +482,7 @@ def _cmd_solve(args, telemetry) -> int:
         args.n, args.r, m=args.m,
         schedule=AnnealingSchedule(num_steps=args.steps),
         restarts=args.restarts, jobs=args.jobs, seed=args.seed,
-        backend=args.backend, telemetry=telemetry,
+        telemetry=telemetry,
     )
     _emit(sol.summary())
     for restart in sol.restarts:
@@ -627,7 +617,6 @@ def _cmd_resilience(args, telemetry) -> int:
         failures=args.failures,
         trials=args.trials,
         seed=args.seed,
-        backend=args.backend,
         telemetry=telemetry,
     )
     if args.json:

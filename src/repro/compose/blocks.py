@@ -63,7 +63,6 @@ def block_point(
     construction: str = "random",
     initial_temperature: float = 0.05,
     final_temperature: float = 1e-4,
-    backend: str | None = None,
 ) -> dict[str, Any]:
     """The normalized ORP campaign point a block solve corresponds to."""
     return normalize_point(
@@ -78,7 +77,6 @@ def block_point(
             "construction": construction,
             "initial_temperature": initial_temperature,
             "final_temperature": final_temperature,
-            "backend": backend,
         }
     )
 
@@ -96,7 +94,7 @@ def resolve_block(
 
     ``solver_params`` are the :func:`block_point` keywords (``m``,
     ``steps``, ``restarts``, ``seed``, ``operation``, ``construction``,
-    temperatures, ``backend``).  With no ``store`` the block is solved
+    temperatures).  With no ``store`` the block is solved
     in-memory every time.
     """
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -164,7 +162,6 @@ def resolve_block(
         seed=point["seed"],
         operation=point["operation"],
         construction=point["construction"],
-        backend=point["backend"],
         telemetry=telemetry,
     )
     if store is not None:

@@ -216,7 +216,6 @@ def build_fabric(
     construction: str = "random",
     initial_temperature: float = 0.05,
     final_temperature: float = 1e-4,
-    backend: str | None = None,
     store: CampaignStore | None = None,
     use_best: bool = True,
     measure: bool = False,
@@ -250,7 +249,6 @@ def build_fabric(
         construction=construction,
         initial_temperature=initial_temperature,
         final_temperature=final_temperature,
-        backend=backend,
     )
     fabric = compose_blocks(block.graph, plan.copies, radix=plan.r)
     tel.event(
@@ -263,7 +261,7 @@ def build_fabric(
         block_digest=block.digest,
         block_source=block.source,
     )
-    summary = summarize_block(block.graph, backend=backend)
+    summary = summarize_block(block.graph)
     predicted = predict_h_aspl(summary, plan.copies)
     predicted_diameter = predict_host_diameter(summary, plan.copies)
     measured_h: float | None = None

@@ -61,16 +61,14 @@ class BlockSummary:
     h_aspl: float
 
 
-def summarize_block(
-    block: HostSwitchGraph, *, backend: str | None = None
-) -> BlockSummary:
+def summarize_block(block: HostSwitchGraph) -> BlockSummary:
     """Measure a block once (kernel-backed APSP over its bearing switches)."""
     n = block.num_hosts
     if n < 2:
         raise ValueError(f"block needs >= 2 hosts, got {n}")
     counts = block.host_counts()
     bearing = np.flatnonzero(counts > 0)
-    dist = switch_distance_matrix(block, sources=bearing, backend=backend)
+    dist = switch_distance_matrix(block, sources=bearing)
     dist = dist[:, bearing]
     if np.isinf(dist).any():
         raise ValueError("block switch graph is disconnected")

@@ -9,17 +9,16 @@ Three neighbourhood operations are available:
   recommended operation): try a swing; if rejected, try the second swing
   that together with the first amounts to a swap.  Subsumes both primitives.
 
-The annealer maintains a switch-edge list for O(1) proposal sampling and,
-by default, scores candidates with the delta-repairing
+The annealer maintains a switch-edge list for O(1) proposal sampling and
+scores candidates exactly with the delta-repairing
 :class:`repro.core.incremental.IncrementalEvaluator` (propose / commit /
-rollback around each move).  ``evaluator="full"`` recomputes a full APSP
-per proposal via :mod:`repro.core.metrics` instead — bit-identical results,
-kept for verification and benchmarking — and ``eval_sources`` switches to
-the sampled estimator for very large instances.  Moves that disconnect any
-pair of hosts evaluate to ``inf`` and are always rejected; when hostless
-switches exist, accepted moves additionally pass a whole-switch-graph
-connectivity check so the paper's "no redundant switch is stranded"
-assumption is preserved.
+rollback around each move); its values equal
+:func:`repro.core.metrics.h_aspl` bit-for-bit.  Moves that disconnect any
+pair of hosts evaluate to ``inf`` and are always rejected; when the
+proposed graph has a hostless switch, an accepted move additionally passes
+a whole-switch-graph connectivity check so the paper's "no redundant
+switch is stranded" assumption is preserved.  The hostless-switch count
+is tracked per move from the moves' host-count deltas.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ import numpy as np
 
 from repro.core.hostswitch import HostSwitchGraph
 from repro.core.incremental import IncrementalEvaluator
-from repro.core.kernels import resolve_backend_name
-from repro.core.metrics import h_aspl, h_aspl_and_diameter, h_aspl_sampled
+from repro.core.metrics import h_aspl_and_diameter
 from repro.core.operations import SwapMove, SwingMove, propose_swap, propose_swing
 from repro.core.serialization import graph_from_text, graph_to_text
 from repro.obs import NULL_TELEMETRY, TelemetryRegistry
@@ -53,7 +51,6 @@ __all__ = [
 ANNEAL_CHECKPOINT_FORMAT = "repro.anneal.checkpoint/v1"
 
 _OPERATIONS = ("swap", "swing", "two-neighbor-swing")
-_EVALUATORS = ("incremental", "full")
 
 #: Telemetry phase windows per run: acceptance rate / temperature /
 #: proposals-per-second are reported once per window, so the trace stays a
@@ -194,10 +191,6 @@ def anneal(
     seed: int | np.random.Generator | None = 0,
     history_every: int = 0,
     target: float | None = None,
-    evaluator: str = "incremental",
-    backend: str | None = None,
-    eval_sources: int | None = None,
-    eval_refresh: int = 200,
     telemetry: TelemetryRegistry | None = None,
     checkpoint_every: int = 0,
     checkpoint_callback: Callable[[dict[str, Any]], None] | None = None,
@@ -223,28 +216,6 @@ def anneal(
     target:
         Optional early-stop threshold: stop once the best h-ASPL is within
         ``1e-12`` of it (e.g. the Theorem-2 lower bound).
-    evaluator:
-        ``"incremental"`` (default) scores proposals with
-        :class:`repro.core.incremental.IncrementalEvaluator`, repairing the
-        distance matrix per move; ``"full"`` recomputes the APSP on every
-        proposal.  Both are exact and produce bit-identical runs for the
-        same seed; ``"full"`` exists for verification and benchmarking.
-    backend:
-        Kernel backend name for the incremental evaluator's BFS repairs
-        (see :mod:`repro.core.kernels`); ``None`` defers to
-        ``REPRO_KERNEL_BACKEND`` and auto-detection.  The annealing
-        trajectory is bit-identical across backends, so this is purely a
-        performance knob.
-    eval_sources:
-        Scalability knob: when set (overriding ``evaluator``), proposals
-        are scored with the sampled estimator
-        :func:`repro.core.metrics.h_aspl_sampled` using this many BFS
-        sources (resampled every ``eval_refresh`` accepted steps,
-        proportional to host counts) instead of the exact h-ASPL.  The
-        returned result is always evaluated exactly.  Recommended for
-        ``n`` in the many-thousands range.
-    eval_refresh:
-        Steps between source resamples in sampled mode.
     telemetry:
         Optional :class:`repro.obs.TelemetryRegistry` receiving per-phase
         acceptance/temperature/throughput events, the committed move-type
@@ -269,8 +240,7 @@ def anneal(
         bit-identical to an uninterrupted run: the RNG stream, graph
         state, and proposal-sampling edge order are all restored exactly.
         ``graph`` is ignored when resuming (the checkpoint carries the
-        working graph); the sampled estimator (``eval_sources``) does not
-        support checkpointing.
+        working graph).
 
     Returns
     -------
@@ -280,15 +250,8 @@ def anneal(
     """
     if operation not in _OPERATIONS:
         raise ValueError(f"operation must be one of {_OPERATIONS}, got {operation!r}")
-    if evaluator not in _EVALUATORS:
-        raise ValueError(f"evaluator must be one of {_EVALUATORS}, got {evaluator!r}")
-    resolve_backend_name(backend)  # unknown backend names fail fast
-    if eval_sources is not None and eval_sources < 1:
-        raise ValueError(f"eval_sources must be >= 1, got {eval_sources}")
     if checkpoint_every < 0:
         raise ValueError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
-    if eval_sources is not None and (checkpoint_every or resume_state is not None):
-        raise ValueError("checkpoint/resume is not supported with eval_sources")
     if schedule is None:
         schedule = AnnealingSchedule()
     rng = as_generator(seed)
@@ -311,53 +274,8 @@ def anneal(
         work = graph.copy()
         edges = _EdgeList(work)
 
-    sample: np.ndarray | None = None
-
-    def resample() -> None:
-        nonlocal sample
-        counts = work.host_counts().astype(np.float64)
-        bearing = np.flatnonzero(counts > 0)
-        k = min(eval_sources, len(bearing))  # type: ignore[arg-type]
-        probs = counts[bearing] / counts[bearing].sum()
-        sample = rng.choice(bearing, size=k, replace=False, p=probs)
-
-    def evaluate() -> float:
-        if eval_sources is None:
-            return h_aspl(work)
-        assert sample is not None
-        counts = work.host_counts()
-        live = sample[counts[sample] > 0]
-        if len(live) == 0:
-            resample()
-            live = sample
-        return h_aspl_sampled(work, live)
-
-    # The three scoring modes behind one propose/commit/discard protocol:
-    # the incremental evaluator keeps real scratch state, the full/sampled
-    # paths re-evaluate from the (already mutated) working graph.
-    inc: IncrementalEvaluator | None = None
-    if eval_sources is not None:
-        resample()
-        current = evaluate()
-    elif evaluator == "incremental":
-        inc = IncrementalEvaluator(work, telemetry=tel, backend=backend)
-        current = inc.value
-    else:
-        current = evaluate()
-
-    def propose_value(moves: list) -> float:
-        if inc is not None:
-            return inc.propose(moves)
-        return evaluate()
-
-    def commit_pending() -> None:
-        if inc is not None:
-            inc.commit()
-
-    def discard_pending() -> None:
-        if inc is not None:
-            inc.rollback()
-
+    inc = IncrementalEvaluator(work, telemetry=tel)
+    current = inc.value
     if not math.isfinite(current):
         raise ValueError("initial graph has disconnected hosts (h-ASPL is inf)")
     if resume_state is not None:
@@ -385,7 +303,7 @@ def anneal(
         accepted = 0
         improved = 0
         history = []
-    hostless = int(np.count_nonzero(work.host_counts() == 0))
+    guard = _StrandGuard(work)
     segment_accepted0, segment_improved0 = accepted, improved
 
     # Telemetry state lives entirely behind `instrumented`; the disabled
@@ -434,11 +352,6 @@ def anneal(
         phase_start_step = step_after
         phase_t0 = now_t
 
-    def connectivity_ok() -> bool:
-        # Finite h-ASPL already certifies host-bearing connectivity; a full
-        # check is only needed when hostless intermediate switches exist.
-        return hostless == 0 or work.is_switch_graph_connected()
-
     def capture_checkpoint(step_after: int) -> dict[str, Any]:
         return {
             "format": ANNEAL_CHECKPOINT_FORMAT,
@@ -462,11 +375,6 @@ def anneal(
     steps_done = start_step
     for step in range(start_step, schedule.num_steps):
         steps_done = step + 1
-        if eval_sources is not None and step > 0 and step % eval_refresh == 0:
-            # Fresh estimator sample; re-anchor the current value so deltas
-            # stay comparable within the window.
-            resample()
-            current = evaluate()
         temperature = schedule.temperature(step)
         committed = False
         value_after = current
@@ -476,9 +384,7 @@ def anneal(
             move = propose_swap(edges.edges, rng, work)
             if move is not None:
                 committed, value_after = _try_moves(
-                    work, rng, current, temperature, connectivity_ok,
-                    propose_value, commit_pending, discard_pending,
-                    [move], [move],
+                    work, rng, current, temperature, inc, guard, [move], [move]
                 )
                 if committed:
                     edges.apply_swap(move)
@@ -487,17 +393,14 @@ def anneal(
             move = propose_swing(edges.edges, rng, work)
             if move is not None:
                 committed, value_after = _try_moves(
-                    work, rng, current, temperature, connectivity_ok,
-                    propose_value, commit_pending, discard_pending,
-                    [move], [move],
+                    work, rng, current, temperature, inc, guard, [move], [move]
                 )
                 if committed:
                     edges.apply_swing(move)
 
         else:  # two-neighbor-swing (Fig. 4)
             committed, value_after, move_kind = _two_neighbor_step(
-                work, edges, rng, current, temperature, connectivity_ok,
-                propose_value, commit_pending, discard_pending,
+                work, edges, rng, current, temperature, inc, guard
             )
 
         if committed:
@@ -539,16 +442,14 @@ def anneal(
             if count:
                 tel.counter(_MOVE_COUNTERS[kind]).inc(count)
         tel.timer("anneal.wall_s").observe(wall)
-        if inc is not None:
-            stats = inc.stats
-            tel.counter("evaluator.proposals").inc(stats["proposals"])
-            tel.counter("evaluator.fallbacks").inc(stats["fallbacks"])
-            tel.counter("evaluator.repaired_rows").inc(stats["repaired_rows"])
-            tel.counter("evaluator.oracle_checks").inc(stats["oracle_checks"])
+        stats = inc.stats
+        tel.counter("evaluator.proposals").inc(stats["proposals"])
+        tel.counter("evaluator.fallbacks").inc(stats["fallbacks"])
+        tel.counter("evaluator.repaired_rows").inc(stats["repaired_rows"])
+        tel.counter("evaluator.oracle_checks").inc(stats["oracle_checks"])
         tel.event(
             "anneal.done",
             operation=operation,
-            evaluator="sampled" if eval_sources is not None else evaluator,
             steps=steps_done,
             accepted=accepted,
             improved=improved,
@@ -609,15 +510,44 @@ def _validate_resume_state(
         )
 
 
+class _StrandGuard:
+    """Keeps accepted moves from stranding a switch (paper's assumption).
+
+    A finite h-ASPL already certifies that every host-bearing switch is
+    connected, so the whole-switch-graph check is only needed when the
+    *proposed* graph has a hostless switch.  The hostless count is kept
+    in O(1) per proposal from the moves' host-count deltas.
+    """
+
+    def __init__(self, graph: HostSwitchGraph) -> None:
+        self.hostless = int(np.count_nonzero(graph.host_counts() == 0))
+        self._proposed = self.hostless
+
+    def ok(self, work: HostSwitchGraph, moves: list) -> bool:
+        """Whether ``work`` (``moves`` applied to the committed graph) strands no switch."""
+        net: dict[int, int] = {}
+        for move in moves:
+            for switch, delta in move.host_count_changes():
+                net[switch] = net.get(switch, 0) + delta
+        proposed = self.hostless
+        for switch, delta in net.items():
+            after = work.hosts_on(switch)
+            proposed += (after == 0) - (after - delta == 0)
+        self._proposed = proposed
+        return proposed == 0 or work.is_switch_graph_connected()
+
+    def commit(self) -> None:
+        """Adopt the count of the last graph :meth:`ok` accepted."""
+        self.hostless = self._proposed
+
+
 def _try_moves(
     work: HostSwitchGraph,
     rng: np.random.Generator,
     current: float,
     temperature: float,
-    connectivity_ok,
-    propose_value,
-    commit_pending,
-    discard_pending,
+    inc: IncrementalEvaluator,
+    guard: _StrandGuard,
     new_moves,
     all_moves,
     *,
@@ -640,16 +570,17 @@ def _try_moves(
     for move in new_moves:
         move.apply(work)
     try:
-        value = propose_value(all_moves)
-        take = _accept(value - current, temperature, rng) and connectivity_ok()
+        value = inc.propose(all_moves)
+        take = _accept(value - current, temperature, rng) and guard.ok(work, all_moves)
     except BaseException:
         for move in reversed(new_moves):
             move.undo(work)
         raise
     if take:
-        commit_pending()
+        inc.commit()
+        guard.commit()
         return True, value
-    discard_pending()
+    inc.rollback()
     if not keep_on_reject:
         for move in reversed(new_moves):
             move.undo(work)
@@ -662,10 +593,8 @@ def _two_neighbor_step(
     rng: np.random.Generator,
     current: float,
     temperature: float,
-    connectivity_ok,
-    propose_value,
-    commit_pending,
-    discard_pending,
+    inc: IncrementalEvaluator,
+    guard: _StrandGuard,
 ) -> tuple[bool, float, str]:
     """One proposal of the 2-neighbor swing operation (Fig. 4).
 
@@ -676,7 +605,7 @@ def _two_neighbor_step(
     attempted instead so searches over graphs with hostless switches (the
     Fig. 8 regime) do not stall.
 
-    Proposals are scored through ``propose_value(moves)`` where ``moves``
+    Proposals are scored through ``inc.propose(moves)`` where ``moves``
     is always relative to the last *committed* state — the step-3 retry
     discards the step-1 proposal and proposes both swings as one batch.
 
@@ -708,9 +637,7 @@ def _two_neighbor_step(
             swap = SwapMove(sa, sb, sd, sc)
             if swap.is_legal(work):
                 committed, value = _try_moves(
-                    work, rng, current, temperature, connectivity_ok,
-                    propose_value, commit_pending, discard_pending,
-                    [swap], [swap],
+                    work, rng, current, temperature, inc, guard, [swap], [swap]
                 )
                 if committed:
                     edges.apply_swap(swap)
@@ -718,9 +645,8 @@ def _two_neighbor_step(
         return False, current, "swap"
 
     committed, value1 = _try_moves(
-        work, rng, current, temperature, connectivity_ok,
-        propose_value, commit_pending, discard_pending,
-        [first], [first], keep_on_reject=True,
+        work, rng, current, temperature, inc, guard, [first], [first],
+        keep_on_reject=True,
     )
     if committed:
         edges.apply_swing(first)
@@ -732,8 +658,7 @@ def _two_neighbor_step(
         return False, current, "swing"
     try:
         committed, value2 = _try_moves(
-            work, rng, current, temperature, connectivity_ok,
-            propose_value, commit_pending, discard_pending,
+            work, rng, current, temperature, inc, guard,
             [second], [first, second],
         )
     except BaseException:

@@ -229,7 +229,7 @@ class HostSwitchGraph:
         """The switch adjacency as raw CSR ``(indptr, indices)`` int32 arrays.
 
         Rows are sorted ascending — the layout the
-        :mod:`repro.core.kernels` backends share.  Cheaper than
+        :mod:`repro.core.kernels` BFS uses.  Cheaper than
         :meth:`switch_csr` (no scipy matrix wrapper) and vectorised: the
         per-row sort happens in one ``lexsort`` over the flat edge list.
 

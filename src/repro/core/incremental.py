@@ -4,8 +4,8 @@ The simulated-annealing search (paper Section 5) historically recomputed a
 full APSP over all host-bearing switches on *every* proposal, even though a
 swap or swing perturbs exactly two switch edges.  This module maintains the
 switch-graph distance matrix ``D`` across moves and repairs it instead,
-running every BFS through the pluggable :mod:`repro.core.kernels` backends
-(bit-parallel by default; ``backend=`` / ``REPRO_KERNEL_BACKEND`` select).
+running every BFS through the bit-parallel kernel of
+:mod:`repro.core.kernels`.
 
 Repair algorithm
 ----------------
@@ -96,7 +96,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.hostswitch import HostSwitchGraph
-from repro.core.kernels import CSRAdjacency, get_backend
+from repro.core.kernels import CSRAdjacency, bfs_distances
 from repro.core.metrics import (
     _weighted_host_distance_sum,
     h_aspl,
@@ -120,7 +120,6 @@ _Edge = tuple[int, int]
 _ROWS_BOUNDS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 #: Telemetry instrument names (registered in ``repro.obs.names``).
-_KERNEL_BACKEND_EVENT = "kernel.backend"
 _KERNEL_BFS_TIMER = "kernel.bfs_s"
 _KERNEL_BFS_ROWS = "kernel.bfs_rows"
 
@@ -186,12 +185,12 @@ def _insertion_block(
     return block
 
 
-def _timed_bfs(kernel, csr, rows, timer, counter, targets=None) -> np.ndarray:
+def _timed_bfs(csr, rows, timer, counter, targets=None) -> np.ndarray:
     """Kernel BFS with optional row-throughput telemetry."""
     if timer is None:
-        return kernel.bfs_distances(csr, rows, targets)
+        return bfs_distances(csr, rows, targets)
     t0 = obs_clock()
-    out = kernel.bfs_distances(csr, rows, targets)
+    out = bfs_distances(csr, rows, targets)
     timer.observe(obs_clock() - t0)
     counter.inc(len(rows))
     return out
@@ -211,40 +210,28 @@ class DynamicDistanceMatrix:
     partitioned (both the affected-row test and the insertion screening
     stay exact in the presence of ``inf``; see the module docstring).
     After any sequence of ``remove_edge``/``add_edge`` calls, :attr:`dist`
-    is bit-identical to a from-scratch rebuild on the resulting graph —
-    with any kernel backend.
+    is bit-identical to a from-scratch rebuild on the resulting graph.
 
     Parameters
     ----------
     graph:
         Snapshot source; the matrix does not track later graph mutations.
-    backend:
-        Kernel backend name (see :mod:`repro.core.kernels`); ``None``
-        defers to ``REPRO_KERNEL_BACKEND`` and auto-detection.
     telemetry:
-        Optional :class:`repro.obs.TelemetryRegistry`; when enabled, the
-        resolved backend is announced through the ``kernel.backend`` event
-        and each repair BFS feeds the row-throughput instruments.
+        Optional :class:`repro.obs.TelemetryRegistry`; when enabled, each
+        repair BFS feeds the row-throughput instruments.
     """
 
     def __init__(
         self,
         graph: HostSwitchGraph,
         *,
-        backend: str | None = None,
         telemetry: TelemetryRegistry | None = None,
     ) -> None:
         m = graph.num_switches
         self._m = m
-        self._kernel = get_backend(backend)
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self._bfs_timer = self._bfs_counter = None
         if tel.enabled:
-            tel.event(
-                _KERNEL_BACKEND_EVENT,
-                backend=self._kernel.name,
-                consumer="dynamic_distance",
-            )
             self._bfs_timer = tel.timer(_KERNEL_BFS_TIMER)
             self._bfs_counter = tel.counter(_KERNEL_BFS_ROWS)
         self._csr = CSRAdjacency.from_graph(graph)
@@ -254,18 +241,11 @@ class DynamicDistanceMatrix:
         self.repaired_rows = 0
 
     def _bfs(self, rows: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
-        return _timed_bfs(
-            self._kernel, self._csr, rows, self._bfs_timer, self._bfs_counter, targets
-        )
+        return _timed_bfs(self._csr, rows, self._bfs_timer, self._bfs_counter, targets)
 
     @property
     def num_switches(self) -> int:
         return self._m
-
-    @property
-    def backend_name(self) -> str:
-        """Resolved kernel backend computing the repair BFS passes."""
-        return self._kernel.name
 
     @property
     def dist(self) -> np.ndarray:
@@ -358,11 +338,7 @@ class IncrementalEvaluator:
         Optional :class:`repro.obs.TelemetryRegistry`; when enabled, the
         evaluator feeds a repaired-rows-per-move histogram and the kernel
         row-throughput instruments in addition to the always-on ``stats``
-        dict, and announces the resolved backend via ``kernel.backend``.
-    backend:
-        Kernel backend name (see :mod:`repro.core.kernels`); ``None``
-        defers to ``REPRO_KERNEL_BACKEND`` and auto-detection.  The
-        h-ASPL trajectory is bit-identical across backends.
+        dict.
     """
 
     def __init__(
@@ -372,7 +348,6 @@ class IncrementalEvaluator:
         fallback_fraction: float = 0.5,
         oracle: bool = False,
         telemetry: TelemetryRegistry | None = None,
-        backend: str | None = None,
     ) -> None:
         if not 0.0 <= fallback_fraction <= 1.0:
             raise ValueError(
@@ -386,16 +361,10 @@ class IncrementalEvaluator:
         self._oracle = oracle
         m = graph.num_switches
         self._row_budget = int(fallback_fraction * m)
-        self._kernel = get_backend(backend)
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self._bfs_timer = self._bfs_counter = None
         self._rows_hist: Histogram | None = None
         if tel.enabled:
-            tel.event(
-                _KERNEL_BACKEND_EVENT,
-                backend=self._kernel.name,
-                consumer="incremental_evaluator",
-            )
             self._bfs_timer = tel.timer(_KERNEL_BFS_TIMER)
             self._bfs_counter = tel.counter(_KERNEL_BFS_ROWS)
             self._rows_hist = tel.histogram(
@@ -425,9 +394,7 @@ class IncrementalEvaluator:
         rows: np.ndarray,
         targets: np.ndarray | None = None,
     ) -> np.ndarray:
-        return _timed_bfs(
-            self._kernel, csr, rows, self._bfs_timer, self._bfs_counter, targets
-        )
+        return _timed_bfs(csr, rows, self._bfs_timer, self._bfs_counter, targets)
 
     # ------------------------------------------------------------------ #
     # Value computation
@@ -442,11 +409,6 @@ class IncrementalEvaluator:
     def weighted_sum(self) -> float:
         """The running weighted sum ``sum k_a k_b (d(a,b) + 2)`` (or inf)."""
         return self._weighted
-
-    @property
-    def backend_name(self) -> str:
-        """Resolved kernel backend computing the repair BFS passes."""
-        return self._kernel.name
 
     def _evaluate(self, dist: np.ndarray, k: np.ndarray) -> tuple[float, float]:
         """``(h_aspl, weighted_sum)`` from a distance matrix and counts."""

@@ -1,105 +1,17 @@
-"""Backend-pluggable BFS kernels for the distance/h-ASPL hot path.
+"""The BFS kernel behind every distance computation in this repo.
 
-Every distance computation in this repo — ``metrics.switch_distance_matrix``,
-the :class:`repro.core.incremental.IncrementalEvaluator` row-repair path and
-:class:`repro.core.incremental.DynamicDistanceMatrix` — funnels through one
-of these backends over a shared :class:`CSRAdjacency`:
-
-``python``
-    The dense-matmul frontier BFS from PR 2 — slow, dependency-free, and
-    the **oracle**: every other backend is property-tested bit-identical
-    to it (distances are small integers, exact in float64).
-``bitset``
-    Bit-parallel BFS over ``uint64`` reachability bitmaps; one vectorised
-    pass advances 64 sources per machine word.  The default.
-``numba``
-    JIT-compiled per-source CSR BFS; optional.  When numba is not
-    importable the registry silently falls back to ``bitset``.
-
-Backend-selection precedence (first hit wins):
-
-1. an explicit ``backend=`` argument (``None`` means "not specified");
-2. the ``REPRO_KERNEL_BACKEND`` environment variable;
-3. ``"auto"``: numba when importable, else bitset.
-
-Selection is resolved per call, so tests can monkeypatch the environment
-variable.  The resolved backend name is what consumers report through
-the ``kernel.backend`` telemetry event.
+``metrics.switch_distance_matrix``, the
+:class:`repro.core.incremental.IncrementalEvaluator` row-repair path and
+:class:`repro.core.incremental.DynamicDistanceMatrix` all call one
+bit-parallel multi-source BFS, :func:`bfs_distances`, over a shared
+:class:`CSRAdjacency`.  Tests check it against an independent oracle
+(scipy's unweighted ``shortest_path``) on ~300 graphs, disconnected ones
+included.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.core.kernels.bitset_backend import BitsetBackend
+from repro.core.kernels.bitset import bfs_distances
 from repro.core.kernels.csr import CSRAdjacency
-from repro.core.kernels.numba_backend import HAVE_NUMBA, NumbaBackend
-from repro.core.kernels.python_backend import PythonBackend
 
-__all__ = [
-    "BACKEND_ENV",
-    "BACKEND_NAMES",
-    "CSRAdjacency",
-    "KernelBackend",
-    "available_backends",
-    "get_backend",
-    "resolve_backend_name",
-]
-
-#: Environment override consulted when no explicit ``backend=`` is given.
-BACKEND_ENV = "REPRO_KERNEL_BACKEND"
-
-#: Every name accepted by ``backend=`` / the environment override.
-BACKEND_NAMES = ("auto", "python", "bitset", "numba")
-
-#: Structural type of a backend (kept loose: a backend is anything with a
-#: ``name`` and a ``bfs_distances(csr, sources) -> (S, m) float64``).
-KernelBackend = PythonBackend | BitsetBackend | NumbaBackend
-
-_FACTORIES = {
-    "python": PythonBackend,
-    "bitset": BitsetBackend,
-    "numba": NumbaBackend,
-}
-_INSTANCES: dict[str, "KernelBackend"] = {}
-
-
-def available_backends() -> tuple[str, ...]:
-    """Concrete backend names that can actually run in this process."""
-    names = ["python", "bitset"]
-    if HAVE_NUMBA:
-        names.append("numba")
-    return tuple(names)
-
-
-def resolve_backend_name(requested: str | None = None) -> str:
-    """Concrete backend name after precedence and numba fallback.
-
-    ``requested=None`` defers to ``REPRO_KERNEL_BACKEND``, then to
-    ``"auto"``.  ``"numba"`` degrades to ``"bitset"`` when numba is not
-    importable — selection never hard-fails on a missing accelerator.
-    Unknown names raise ``ValueError``.
-    """
-    name = requested
-    if name is None:
-        name = os.environ.get(BACKEND_ENV) or "auto"
-    name = name.strip().lower()
-    if name not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; expected one of {BACKEND_NAMES}"
-        )
-    if name == "auto":
-        return "numba" if HAVE_NUMBA else "bitset"
-    if name == "numba" and not HAVE_NUMBA:
-        return "bitset"
-    return name
-
-
-def get_backend(requested: str | None = None) -> "KernelBackend":
-    """The (cached) backend instance for ``requested`` after resolution."""
-    name = resolve_backend_name(requested)
-    instance = _INSTANCES.get(name)
-    if instance is None:
-        instance = _FACTORIES[name]()
-        _INSTANCES[name] = instance
-    return instance
+__all__ = ["CSRAdjacency", "bfs_distances"]

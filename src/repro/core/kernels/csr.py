@@ -1,6 +1,6 @@
-"""Shared CSR switch-adjacency for the BFS kernel backends.
+"""Shared CSR switch-adjacency for the BFS kernel.
 
-Every backend consumes the same compressed-sparse-row structure —
+The kernel consumes one compressed-sparse-row structure —
 ``indptr``/``indices`` ``int32`` arrays with per-row **sorted** neighbor
 lists — so a graph is converted once and then shared across all BFS
 calls instead of re-deriving neighbor lists per source row.
@@ -31,12 +31,11 @@ class CSRAdjacency:
     binary search.
     """
 
-    __slots__ = ("indptr", "indices", "_dense")
+    __slots__ = ("indptr", "indices")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int32)
         self.indices = np.ascontiguousarray(indices, dtype=np.int32)
-        self._dense: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -89,19 +88,6 @@ class CSRAdjacency:
         i = int(np.searchsorted(row, v))
         return i < len(row) and int(row[i]) == v
 
-    def dense_float32(self) -> np.ndarray:
-        """Dense float32 0/1 adjacency (cached; the python oracle's input)."""
-        if self._dense is None:
-            m = self.num_switches
-            dense = np.zeros((m, m), dtype=np.float32)
-            if len(self.indices):
-                rows = np.repeat(
-                    np.arange(m, dtype=np.int32), np.diff(self.indptr)
-                )
-                dense[rows, self.indices] = 1.0
-            self._dense = dense
-        return self._dense
-
     # ------------------------------------------------------------------ #
     # Single-edge edits (return a new CSRAdjacency)
     # ------------------------------------------------------------------ #
@@ -133,7 +119,6 @@ class CSRAdjacency:
         indptr[u + 1 :] -= 1
         indptr[v + 1 :] -= 1
         out.indptr = indptr
-        out._dense = None
         return out
 
     def with_edge_added(self, u: int, v: int) -> "CSRAdjacency":
@@ -160,7 +145,6 @@ class CSRAdjacency:
         indptr[u + 1 :] += 1
         indptr[v + 1 :] += 1
         out.indptr = indptr
-        out._dense = None
         return out
 
     def _check_pair(self, u: int, v: int) -> None:

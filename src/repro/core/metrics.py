@@ -13,16 +13,15 @@ matrix and the per-switch host counts ``k``:
                 {\\binom{n}{2}}
          = \\frac{\\tfrac12 \\sum_{a,b} k_a k_b (d(a,b)+2) - n}{\\binom{n}{2}}.
 
-We compute ``d`` with the pluggable BFS kernels of
-:mod:`repro.core.kernels` (bit-parallel by default; see the ``backend=``
-knob and the ``REPRO_KERNEL_BACKEND`` environment override) restricted to
-host-bearing switches, and evaluate the double sum with vectorised NumPy.
+We compute ``d`` with the bit-parallel BFS kernel of
+:mod:`repro.core.kernels` restricted to host-bearing switches, and
+evaluate the double sum with vectorised NumPy.
 This used to be the hot path of the annealing search; the annealer now
 repairs a persistent distance matrix per move with
 :class:`repro.core.incremental.IncrementalEvaluator` and only falls back to
 the full APSP here.  Because every quantity in the weighted sum is an
-integer exactly representable in float64, every backend and both
-evaluators produce bit-identical h-ASPL values (see
+integer exactly representable in float64, the incremental evaluator and
+this full computation produce bit-identical h-ASPL values (see
 :func:`_weighted_host_distance_sum`).
 """
 
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.hostswitch import HostSwitchGraph
-from repro.core.kernels import CSRAdjacency, get_backend
+from repro.core.kernels import CSRAdjacency, bfs_distances
 from repro.utils.contracts import ensures, requires
 
 __all__ = [
@@ -55,8 +54,6 @@ __all__ = [
 def switch_distance_matrix(
     graph: HostSwitchGraph,
     sources: np.ndarray | None = None,
-    *,
-    backend: str | None = None,
 ) -> np.ndarray:
     """All-pairs (or selected-source) switch-graph distances.
 
@@ -68,18 +65,13 @@ def switch_distance_matrix(
         Optional array of switch indices to use as BFS sources.  When given,
         the returned matrix has shape ``(len(sources), m)``; otherwise
         ``(m, m)``.  Unreachable pairs are ``numpy.inf``.
-    backend:
-        Kernel backend name (see :mod:`repro.core.kernels`); ``None``
-        defers to ``REPRO_KERNEL_BACKEND`` and auto-detection.  All
-        backends return bit-identical distances.
     """
     if sources is not None and len(sources) == 0:
         return np.zeros((0, graph.num_switches))
     if sources is None:
         sources = np.arange(graph.num_switches)
-    kernel = get_backend(backend)
     csr = CSRAdjacency.from_graph(graph)
-    return np.atleast_2d(kernel.bfs_distances(csr, sources))
+    return np.atleast_2d(bfs_distances(csr, sources))
 
 
 def switch_aspl(graph: HostSwitchGraph) -> float:
@@ -200,8 +192,9 @@ def h_aspl_sampled(
     ``sources`` must index host-bearing switches.  The estimator averages
     host distances from the sampled sources' hosts to *all* hosts — an
     unbiased estimate when sources are drawn with probability proportional
-    to their host counts, and a deterministic, cheap surrogate objective
-    for annealing at large ``n`` (see ``anneal(..., eval_sources=...)``).
+    to their host counts.  The annealer always scores moves exactly (see
+    :class:`repro.core.incremental.IncrementalEvaluator`); this estimator
+    is a cheap standalone probe for very large graphs.
 
     Cost: ``len(sources)`` BFS passes instead of one per host-bearing
     switch.  Returns ``inf`` if any sampled pair is disconnected.

@@ -92,7 +92,6 @@ def _run_restart(
     collect: bool,
     operation: str = "two-neighbor-swing",
     construction: str = "random",
-    backend: str | None = None,
     *,
     checkpoint_every: int = 0,
     checkpoint_callback: Any = None,
@@ -130,7 +129,6 @@ def _run_restart(
             schedule=schedule,
             seed=rng,
             target=target,
-            backend=backend,
             telemetry=worker_tel,
             checkpoint_every=checkpoint_every,
             checkpoint_callback=checkpoint_callback,
@@ -201,7 +199,6 @@ def solve_orp(
     seed: int | np.random.Generator | None = 0,
     operation: str = "two-neighbor-swing",
     construction: str = "random",
-    backend: str | None = None,
     telemetry: TelemetryRegistry | None = None,
     checkpointer: Any = None,
 ) -> ORPSolution:
@@ -233,13 +230,6 @@ def solve_orp(
         Starting-point builder: ``"random"`` (default, the paper's proposed
         pipeline) or ``"regular"`` (``m | n`` hosts per switch with a random
         k-regular core).
-    backend:
-        Kernel backend name for the annealing distance repairs (see
-        :mod:`repro.core.kernels`); ``None`` defers to
-        ``REPRO_KERNEL_BACKEND`` and auto-detection.  Purely a
-        performance knob — the solved graph and every reported number
-        are bit-identical across backends, which is also why campaign
-        digests exclude it.
     telemetry:
         Optional :class:`repro.obs.TelemetryRegistry`.  Each restart then
         anneals under a private worker registry (in-process or in a pool
@@ -360,7 +350,6 @@ def solve_orp(
                         [collect] * count,
                         [operation] * count,
                         [construction] * count,
-                        [backend] * count,
                     )
                 )
             for i, (run, _) in enumerate(outcomes):
@@ -375,7 +364,7 @@ def solve_orp(
                     continue
                 run, snap = _run_restart(
                     n, m_used, r, schedule, a_lb, child, i, collect,
-                    operation, construction, backend,
+                    operation, construction,
                     checkpoint_every=int(checkpointer.checkpoint_every),
                     checkpoint_callback=(
                         lambda state, i=i: checkpointer.save_checkpoint(i, state)
@@ -390,7 +379,7 @@ def solve_orp(
             for i, child in enumerate(children):
                 outcome = _run_restart(
                     n, m_used, r, schedule, a_lb, child, i, collect,
-                    operation, construction, backend,
+                    operation, construction,
                 )
                 outcomes.append(outcome)
                 note_progress(i + 1, outcome[0])

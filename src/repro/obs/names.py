@@ -38,7 +38,6 @@ INSTRUMENTS: frozenset[str] = frozenset(
         "evaluator.repaired_rows",
         "evaluator.repaired_rows_per_move",
         # repro.core.kernels consumers (incremental evaluator, dynamic matrix)
-        "kernel.backend",
         "kernel.bfs_rows",
         "kernel.bfs_s",
         # repro.core.solver

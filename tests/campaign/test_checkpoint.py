@@ -22,6 +22,7 @@ from repro.core.annealing import (
 )
 from repro.core.construct import random_host_switch_graph
 from repro.core.solver import solve_orp
+from tests.conftest import use_oracle_evaluator
 
 SCHEDULE = AnnealingSchedule(num_steps=400)
 SEED = 7
@@ -43,7 +44,7 @@ class _StopAfter(Exception):
     pass
 
 
-def run_killed_then_resumed(graph, kill_at: int, *, evaluator="incremental"):
+def run_killed_then_resumed(graph, kill_at: int):
     """Anneal, abort at the ``kill_at``-th checkpoint, resume, return result."""
     saved: list[dict] = []
 
@@ -55,7 +56,7 @@ def run_killed_then_resumed(graph, kill_at: int, *, evaluator="incremental"):
     with pytest.raises(_StopAfter):
         anneal(
             graph, schedule=SCHEDULE, seed=SEED, history_every=50,
-            evaluator=evaluator, checkpoint_every=100,
+            checkpoint_every=100,
             checkpoint_callback=callback,
         )
     # The checkpoint must survive a JSON round trip (that is how the store
@@ -65,7 +66,7 @@ def run_killed_then_resumed(graph, kill_at: int, *, evaluator="incremental"):
     assert state["step"] == kill_at * 100
     return anneal(
         graph, schedule=SCHEDULE, seed=SEED, history_every=50,
-        evaluator=evaluator, resume_state=state,
+        resume_state=state,
     )
 
 
@@ -82,8 +83,11 @@ class TestAnnealResume:
         assert resumed.history == reference.history
         assert strip_wall(resumed) == strip_wall(reference)
 
-    def test_resume_under_full_evaluator(self, start_graph, reference):
-        resumed = run_killed_then_resumed(start_graph, 2, evaluator="full")
+    def test_resume_under_oracle_evaluator(self, monkeypatch, start_graph, reference):
+        # Every proposal before and after the resume is checked bit-for-bit
+        # against the full h-ASPL.
+        use_oracle_evaluator(monkeypatch)
+        resumed = run_killed_then_resumed(start_graph, 2)
         assert resumed.graph == reference.graph
         assert strip_wall(resumed) == strip_wall(reference)
 
@@ -138,11 +142,6 @@ class TestResumeValidation:
         with pytest.raises(ValueError, match="checkpoint_every"):
             anneal(start_graph, schedule=SCHEDULE, seed=SEED,
                    checkpoint_every=-1)
-
-    def test_sampled_evaluator_cannot_checkpoint(self, start_graph):
-        with pytest.raises(ValueError, match="eval_sources"):
-            anneal(start_graph, schedule=SCHEDULE, seed=SEED, eval_sources=4,
-                   checkpoint_every=100, checkpoint_callback=lambda s: None)
 
 
 POINT = normalize_point({"n": 24, "r": 6, "steps": 300, "restarts": 3})

@@ -33,7 +33,6 @@ class TestNormalizePoint:
             "construction": "random",
             "initial_temperature": 0.05,
             "final_temperature": 1e-4,
-            "backend": None,
         }
 
     def test_explicit_defaults_digest_identically(self):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
 import pytest
 
 from repro.core.hostswitch import HostSwitchGraph
@@ -71,3 +74,41 @@ def brute_force_h_aspl(graph: HostSwitchGraph) -> float:
         for h2 in range(h + 1, n):
             total += dist[("h", h2)]
     return total / (n * (n - 1) / 2)
+
+
+def oracle_distances(csr, sources, targets=None) -> np.ndarray:
+    """Oracle switch distances: scipy's unweighted ``shortest_path``.
+
+    Independent of :mod:`repro.core.kernels` except for reading the CSR
+    arrays; returns the kernel's shape, ``(len(sources), m)`` or
+    ``(len(sources), len(targets))``, with ``inf`` for unreachable pairs.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    m = csr.num_switches
+    sources = np.asarray(sources, dtype=np.int64)
+    cols = np.arange(m) if targets is None else np.asarray(targets, dtype=np.int64)
+    if len(sources) == 0:
+        return np.full((0, len(cols)), np.inf)
+    adjacency = csr_matrix(
+        (np.ones(len(csr.indices)), csr.indices, csr.indptr), shape=(m, m)
+    )
+    dist = shortest_path(adjacency, directed=False, unweighted=True, indices=sources)
+    return np.atleast_2d(dist)[:, cols]
+
+
+def use_oracle_evaluator(monkeypatch) -> None:
+    """Make ``anneal`` check every proposal bit-for-bit against ``h_aspl``.
+
+    The annealer's evaluator runs in oracle mode for the rest of the test:
+    any divergence from the full APSP raises ``IncrementalEvaluatorError``.
+    """
+    from repro.core import annealing
+    from repro.core.incremental import IncrementalEvaluator
+
+    monkeypatch.setattr(
+        annealing,
+        "IncrementalEvaluator",
+        functools.partial(IncrementalEvaluator, oracle=True),
+    )

@@ -14,6 +14,8 @@ from repro.core.construct import (
 from repro.core.hostswitch import HostSwitchGraph
 from repro.core.metrics import h_aspl
 from repro.core.operations import SwapMove, SwingMove
+from repro.obs import TelemetryRegistry
+from tests.conftest import use_oracle_evaluator
 
 
 class TestSchedule:
@@ -177,52 +179,70 @@ class TestAnneal:
         assert 0 <= result.improved <= result.accepted <= result.steps
         assert result.initial_h_aspl >= result.h_aspl
 
-    def test_unknown_evaluator_rejected(self):
-        g = random_host_switch_graph(10, 3, 8, seed=0)
-        with pytest.raises(ValueError, match="evaluator"):
-            anneal(g, evaluator="psychic")
-
 
 class TestEvaluatorEquivalence:
-    """The incremental and full evaluators must anneal bit-identically.
+    """Every proposal the annealer scores equals the full h-ASPL bit-for-bit.
 
-    Every quantity both evaluators sum is an integer exactly representable
-    in float64, so the evaluators return *equal* floats, consume the same
-    Metropolis draws, and walk the same trajectory.
+    The runs below anneal with the evaluator in oracle mode, which checks
+    each proposal's value and repaired distance matrix against a
+    from-scratch APSP and raises on any difference.  Oracle mode changes
+    no value and consumes no random draws, so the checked run also walks
+    exactly the trajectory of the plain one.
     """
 
+    @staticmethod
+    def _checked_run(monkeypatch, graph, **kwargs):
+        use_oracle_evaluator(monkeypatch)
+        reg = TelemetryRegistry()
+        result = anneal(graph, telemetry=reg, **kwargs)
+        checks = reg.counter("evaluator.oracle_checks").value
+        assert checks == reg.counter("evaluator.proposals").value > 0
+        return result
+
     @pytest.mark.parametrize("operation", ["swap", "swing", "two-neighbor-swing"])
-    def test_bit_identical_runs(self, operation):
+    def test_bit_identical_runs(self, monkeypatch, operation):
         g = random_host_switch_graph(48, 14, 6, seed=4)
-        schedule = AnnealingSchedule(num_steps=500)
-        inc = anneal(
-            g, operation=operation, schedule=schedule, seed=21, history_every=13
-        )
-        full = anneal(
-            g,
+        kwargs = dict(
             operation=operation,
-            schedule=schedule,
+            schedule=AnnealingSchedule(num_steps=500),
             seed=21,
             history_every=13,
-            evaluator="full",
         )
-        assert inc.h_aspl == full.h_aspl
-        assert inc.diameter == full.diameter
-        assert inc.accepted == full.accepted
-        assert inc.improved == full.improved
-        assert inc.graph == full.graph
-        assert inc.history == full.history
+        plain = anneal(g, **kwargs)
+        checked = self._checked_run(monkeypatch, g, **kwargs)
+        assert plain.h_aspl == checked.h_aspl
+        assert plain.diameter == checked.diameter
+        assert plain.accepted == checked.accepted
+        assert plain.improved == checked.improved
+        assert plain.graph == checked.graph
+        assert plain.history == checked.history
 
-    def test_bit_identical_with_hostless_switches(self):
+    def test_bit_identical_with_hostless_switches(self, monkeypatch):
         # More switch capacity than hosts: hostless switches force the
         # whole-graph connectivity check and the two-neighbor direct-swap
         # fallback into play.
         g = random_host_switch_graph(18, 20, 5, seed=6)
         assert (g.host_counts() == 0).any()
-        schedule = AnnealingSchedule(num_steps=400)
-        inc = anneal(g, schedule=schedule, seed=9)
-        full = anneal(g, schedule=schedule, seed=9, evaluator="full")
-        assert inc.h_aspl == full.h_aspl
-        assert inc.diameter == full.diameter
-        assert inc.accepted == full.accepted
-        assert inc.graph == full.graph
+        kwargs = dict(schedule=AnnealingSchedule(num_steps=400), seed=9)
+        plain = anneal(g, **kwargs)
+        checked = self._checked_run(monkeypatch, g, **kwargs)
+        assert plain.h_aspl == checked.h_aspl
+        assert plain.diameter == checked.diameter
+        assert plain.accepted == checked.accepted
+        assert plain.graph == checked.graph
+
+
+class TestStrandedSwitches:
+    def test_swing_never_strands_an_emptied_switch(self):
+        # A regular start has no hostless switch; swings empty some, and
+        # the best graph must still connect every switch.
+        g = random_regular_host_switch_graph(16, 16, 4, seed=7)
+        assert not (g.host_counts() == 0).any()
+        result = anneal(
+            g,
+            operation="two-neighbor-swing",
+            schedule=AnnealingSchedule(num_steps=2000, initial_temperature=0.5),
+            seed=7,
+        )
+        assert (result.graph.host_counts() == 0).any()
+        assert result.graph.is_switch_graph_connected()

@@ -1,35 +1,33 @@
-"""Property suite: every kernel backend is bit-identical to the oracle.
+"""Property suite: the BFS kernel is bit-identical to an independent oracle.
 
-The pure-Python dense-matmul backend is the reference; the bitset (and,
-when installed, numba) backends must reproduce its distances **bit for
-bit** on hundreds of adversarial random graphs — hostless switches,
+scipy's unweighted ``shortest_path`` (``tests.conftest.oracle_distances``)
+is the reference; the kernel must reproduce its distances **bit for bit**
+on hundreds of adversarial random graphs — hostless switches,
 disconnected components, post-fault partitioned fabrics — for full
 APSP, targeted block extraction, single-row repair, and the
 :class:`repro.core.incremental.DynamicDistanceMatrix` mutation paths.
 Distances are small integers (exact in float64), so bit-identity is a
-meaningful and achievable bar, and it is what makes the campaign
-digests' backend-neutrality sound.
+meaningful and achievable bar.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.construct import random_host_switch_graph
 from repro.core.incremental import DynamicDistanceMatrix, IncrementalEvaluator
-from repro.core.kernels import (
-    BACKEND_ENV,
-    CSRAdjacency,
-    available_backends,
-    get_backend,
-    resolve_backend_name,
-)
+from repro.core.kernels import CSRAdjacency, bfs_distances
 from repro.core.metrics import h_aspl, switch_distance_matrix
 from repro.core.operations import propose_swap, propose_swing
+from tests.conftest import oracle_distances
 
-#: Backends under test beyond the oracle (numba joins when importable).
-FAST_BACKENDS = [name for name in available_backends() if name != "python"]
+#: Kernels under test, by name; a new kernel joins here and must pass the
+#: same oracle suite.
+KERNELS = {"bitset": bfs_distances}
 
 
 def _random_csr(rng: np.random.Generator) -> tuple[int, CSRAdjacency]:
@@ -66,62 +64,55 @@ def _random_sources(rng: np.random.Generator, m: int) -> np.ndarray:
     return rng.integers(0, m, size=ns)  # duplicates + arbitrary order
 
 
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
 class TestBitIdentityAgainstOracle:
-    """~300 random graphs per backend across the three call shapes."""
+    """~300 random graphs across the three call shapes."""
 
-    def test_full_apsp(self, backend):
+    def test_full_apsp(self, kernel):
         rng = np.random.default_rng(101)
-        oracle = get_backend("python")
-        fast = get_backend(backend)
         for _ in range(120):
             m, csr = _random_csr(rng)
             sources = _random_sources(rng, m)
-            expected = oracle.bfs_distances(csr, sources)
-            got = fast.bfs_distances(csr, sources)
+            expected = oracle_distances(csr, sources)
+            got = kernel(csr, sources)
             assert got.shape == expected.shape
             assert np.array_equal(got, expected)
 
-    def test_targeted_block(self, backend):
+    def test_targeted_block(self, kernel):
         rng = np.random.default_rng(202)
-        oracle = get_backend("python")
-        fast = get_backend(backend)
         for _ in range(120):
             m, csr = _random_csr(rng)
             sources = _random_sources(rng, m)
             nt = int(rng.integers(0, m + 1))
             targets = rng.integers(0, m, size=nt)
-            expected = oracle.bfs_distances(csr, sources, targets)
-            got = fast.bfs_distances(csr, sources, targets)
+            expected = oracle_distances(csr, sources, targets)
+            got = kernel(csr, sources, targets)
             assert got.shape == expected.shape
             assert np.array_equal(got, expected)
 
-    def test_single_row_repair(self, backend):
+    def test_single_row_repair(self, kernel):
         """One source, all targets — the minimal repair-path call shape."""
         rng = np.random.default_rng(303)
-        oracle = get_backend("python")
-        fast = get_backend(backend)
         for _ in range(60):
             m, csr = _random_csr(rng)
             row = np.array([int(rng.integers(0, m))])
-            expected = oracle.bfs_distances(csr, row)
-            got = fast.bfs_distances(csr, row)
+            expected = oracle_distances(csr, row)
+            got = kernel(csr, row)
             assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
 class TestDynamicDistanceMatrixBitIdentity:
-    """remove/add/remove_switch keep the matrix exact under every backend."""
+    """remove/add/remove_switch keep the matrix exact."""
 
-    def test_fault_and_repair_trajectory(self, backend):
+    def test_fault_and_repair_trajectory(self, kernel):
+        """The repaired matrix equals the oracle and a from-scratch rebuild."""
         rng = np.random.default_rng(404)
-        oracle = get_backend("python")
         for trial in range(6):
             graph = random_host_switch_graph(
                 96, int(rng.integers(14, 28)), 9, seed=int(rng.integers(1 << 30))
             )
-            ddm = DynamicDistanceMatrix(graph, backend=backend)
-            assert ddm.backend_name == resolve_backend_name(backend)
+            ddm = DynamicDistanceMatrix(graph)
             m = ddm.num_switches
             live = {tuple(sorted(map(int, e))) for e in graph.switch_edges()}
             for step in range(50):
@@ -145,17 +136,16 @@ class TestDynamicDistanceMatrixBitIdentity:
                     live.add(edge)
                 if step % 10 == 9:
                     csr = CSRAdjacency.from_edges(m, sorted(live))
-                    expected = oracle.bfs_distances(csr, np.arange(m))
-                    assert np.array_equal(ddm.dist, expected)
+                    assert np.array_equal(ddm.dist, oracle_distances(csr, np.arange(m)))
+                    assert np.array_equal(ddm.dist, kernel(csr, np.arange(m)))
 
 
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
-def test_incremental_evaluator_trajectory_matches_oracle_mode(backend):
-    """A full propose/commit/rollback walk stays exact on every backend."""
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+def test_incremental_evaluator_trajectory_matches_oracle_mode(kernel):
+    """A full propose/commit/rollback walk in oracle mode stays exact."""
     rng = np.random.default_rng(505)
     graph = random_host_switch_graph(128, 24, 9, seed=7)
-    evaluator = IncrementalEvaluator(graph, oracle=True, backend=backend)
-    assert evaluator.backend_name == resolve_backend_name(backend)
+    evaluator = IncrementalEvaluator(graph, oracle=True)
     for _ in range(80):
         edges = sorted(graph.switch_edges())
         move = (
@@ -173,58 +163,60 @@ def test_incremental_evaluator_trajectory_matches_oracle_mode(backend):
             evaluator.rollback()
             move.undo(graph)
     assert evaluator.value == h_aspl(graph)  # repro-lint: disable=REP004 -- bit-identity contract
-
-
-def test_backend_selection_precedence(monkeypatch):
-    """Explicit arg beats env var beats auto; numba degrades gracefully."""
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    assert resolve_backend_name("bitset") == "bitset"
-    assert resolve_backend_name("python") == "python"
-    monkeypatch.setenv(BACKEND_ENV, "python")
-    assert resolve_backend_name(None) == "python"
-    assert resolve_backend_name("bitset") == "bitset"  # arg wins
-    monkeypatch.setenv(BACKEND_ENV, "nonsense")
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        resolve_backend_name(None)
-    # "numba" must resolve even when numba is absent (bitset fallback).
-    assert resolve_backend_name("numba") in ("numba", "bitset")
-    auto = resolve_backend_name("auto")
-    assert auto in ("numba", "bitset")
-
-
-def test_backend_env_override_reaches_metrics(monkeypatch):
-    """switch_distance_matrix obeys REPRO_KERNEL_BACKEND per call."""
-    graph = random_host_switch_graph(32, 8, 6, seed=1)
-    monkeypatch.setenv(BACKEND_ENV, "python")
-    via_env = switch_distance_matrix(graph)
-    monkeypatch.setenv(BACKEND_ENV, "bitset")
-    via_bitset = switch_distance_matrix(graph)
-    assert np.array_equal(via_env, via_bitset)
-    assert np.array_equal(
-        switch_distance_matrix(graph, backend="bitset"), via_bitset
-    )
+    m = graph.num_switches
+    csr = CSRAdjacency.from_graph(graph)
+    assert np.array_equal(kernel(csr, np.arange(m)), oracle_distances(csr, np.arange(m)))
 
 
 def test_hostless_switches_participate_in_distances():
     """Switches with zero hosts are still BFS vertices (swing support)."""
     graph = random_host_switch_graph(40, 10, 8, seed=3)
     counts = graph.host_counts()
-    dist = switch_distance_matrix(graph, backend="bitset")
+    dist = switch_distance_matrix(graph)
     # Every switch has a row/column whether or not it bears hosts.
     assert dist.shape == (10, 10)
     assert np.array_equal(np.diag(dist), np.zeros(10))
     assert (counts >= 0).all()
 
 
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
-def test_empty_and_degenerate_shapes(backend):
-    fast = get_backend(backend)
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+def test_empty_and_degenerate_shapes(kernel):
     csr = CSRAdjacency.from_edges(3, [(0, 1)])
-    empty = fast.bfs_distances(csr, np.array([], dtype=np.int64))
+    empty = kernel(csr, np.array([], dtype=np.int64))
     assert empty.shape == (0, 3)
-    no_targets = fast.bfs_distances(csr, np.array([0]), np.array([], dtype=np.int64))
+    no_targets = kernel(csr, np.array([0]), np.array([], dtype=np.int64))
     assert no_targets.shape == (1, 0)
     lone = CSRAdjacency.from_edges(1, [])
-    assert np.array_equal(
-        fast.bfs_distances(lone, np.array([0])), np.array([[0.0]])
-    )
+    assert np.array_equal(kernel(lone, np.array([0])), np.array([[0.0]]))
+
+
+def test_concurrent_threads_do_not_share_scratch():
+    """Threads calling the kernel at once each get exact distances.
+
+    The kernel recycles work buffers between calls; the serve layer runs
+    solves in worker threads, so a buffer shared across threads would
+    let one call overwrite another's BFS state mid-sweep.
+    """
+    graph = random_host_switch_graph(512, 100, 12, seed=1)
+    csr = CSRAdjacency.from_graph(graph)
+    sources = np.arange(csr.num_switches)
+    expected = oracle_distances(csr, sources)
+    wrong: list[int] = []
+
+    def work() -> None:
+        for _ in range(40):
+            if not np.array_equal(bfs_distances(csr, sources), expected):
+                wrong.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

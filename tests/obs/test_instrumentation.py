@@ -9,6 +9,7 @@ from repro.core.incremental import IncrementalEvaluator
 from repro.obs import MemorySink, TelemetryRegistry
 from repro.partition.kway import partition_host_switch
 from repro.simulation.traffic import run_traffic
+from tests.conftest import use_oracle_evaluator
 
 
 def _anneal(graph, steps: int, telemetry=None, **kwargs):
@@ -76,11 +77,15 @@ class TestAnnealAccounting:
         assert traced.accepted == plain.accepted
         assert traced.graph == plain.graph
 
-    def test_full_evaluator_emits_no_repair_stats(self):
+    def test_oracle_evaluator_counts_every_check(self, monkeypatch):
         g = random_host_switch_graph(20, 6, 8, seed=3)
+        plain = _anneal(g, 100)
+        use_oracle_evaluator(monkeypatch)
         reg = TelemetryRegistry()
-        _anneal(g, 100, telemetry=reg, evaluator="full")
-        assert "evaluator.proposals" not in reg._counters
+        checked = _anneal(g, 100, telemetry=reg)
+        proposals = reg.counter("evaluator.proposals").value
+        assert reg.counter("evaluator.oracle_checks").value == proposals > 0
+        assert checked.graph == plain.graph
 
 
 class TestEvaluatorInstrumentation:
